@@ -42,7 +42,8 @@
 // runs -warmup untimed operations first (filling pools and scratch
 // buffers on both sides), then all connections start the timed replay
 // together behind a gate. Client-process heap allocations across the
-// timed phase are counted (load/allocs) and averaged per operation;
+// timed phase are counted (load/allocs) and averaged per operation, as
+// an integer (load/allocs_per_op) and exactly (load/allocs_per_op_exact);
 // -max-allocs-per-op N exits nonzero when the integer average exceeds N,
 // making the zero-allocation serving path a CI-checkable regression
 // gate.
@@ -541,6 +542,7 @@ type workloadResult struct {
 	cell                    exp.Cell
 	ok, miss, rejected, bad uint64
 	allocs, allocsPerOp     uint64
+	allocsExact             float64
 	wall                    time.Duration
 	mops, achieved          float64
 	p50, p95, p99, max      time.Duration
@@ -632,10 +634,7 @@ func runWorkload(lf loadFlags, spec workloadSpec, streams [][]kv.Op) (workloadRe
 	r.achieved = float64(total) / wall.Seconds()
 	r.p50, r.p95, r.p99 = pctl(all, 0.50), pctl(all, 0.95), pctl(all, 0.99)
 	r.max = pctl(all, 1)
-	// Integer average, the same accounting testing.AllocsPerRun uses: a
-	// handful of fixed-cost allocations over a long run round to zero, a
-	// per-op allocation does not.
-	r.allocsPerOp = allocs / uint64(total)
+	r.allocsPerOp, r.allocsExact = allocsPerOp(allocs, total)
 
 	variant := "closed-loop"
 	if lf.rate > 0 {
@@ -661,6 +660,7 @@ func runWorkload(lf loadFlags, spec workloadSpec, streams [][]kv.Op) (workloadRe
 			"load/allocs":        allocs,
 			"load/allocs_per_op": r.allocsPerOp,
 		},
+		Gauges: map[string]float64{"load/allocs_per_op_exact": r.allocsExact},
 	}
 	if lf.rate > 0 {
 		r.cell.Metrics["load/target_rate"] = uint64(lf.rate + 0.5)
@@ -674,6 +674,16 @@ func runWorkload(lf loadFlags, spec workloadSpec, streams [][]kv.Op) (workloadRe
 		r.scrapeDropped = !mergeServerDeltas(r.cell.Metrics, pre, post)
 	}
 	return r, nil
+}
+
+// allocsPerOp averages the measured phase's client allocations over its
+// ops twice. gate is the integer average the -max-allocs-per-op gate
+// reads, the same accounting testing.AllocsPerRun uses: a handful of
+// fixed-cost allocations over a long run round to zero, a per-op
+// allocation does not. exact is the unrounded average reported as
+// load/allocs_per_op_exact, so those few allocations stay visible.
+func allocsPerOp(allocs uint64, ops int) (gate uint64, exact float64) {
+	return allocs / uint64(ops), float64(allocs) / float64(ops)
 }
 
 func main() {
@@ -797,8 +807,8 @@ func main() {
 			})
 		}
 		res.Cells = append(res.Cells, r.cell)
-		res.Notes = append(res.Notes, fmt.Sprintf("%s: %s — %d ok, %d miss, %d rejected, %d bad; %d allocs",
-			spec.key, spec.title, r.ok, r.miss, r.rejected, r.bad, r.allocs))
+		res.Notes = append(res.Notes, fmt.Sprintf("%s: %s — %d ok, %d miss, %d rejected, %d bad; %d allocs (%v/op)",
+			spec.key, spec.title, r.ok, r.miss, r.rejected, r.bad, r.allocs, r.allocsExact))
 		if r.allocsPerOp > worstAllocs {
 			worstAllocs = r.allocsPerOp
 		}

@@ -2,6 +2,7 @@ package main
 
 import (
 	"bufio"
+	"fmt"
 	"math"
 	"net"
 	"sort"
@@ -317,5 +318,20 @@ func TestCubicScheduleNoNaN(t *testing.T) {
 				t.Fatalf("ramp %v sched[%d] = %v", ramp, i, d)
 			}
 		}
+	}
+}
+
+func TestAllocsPerOpExact(t *testing.T) {
+	// A few fixed-cost allocations over a long run: the integer gate
+	// rounds them away, the exact gauge keeps them.
+	gate, exact := allocsPerOp(6, 80000)
+	if gate != 0 {
+		t.Errorf("gate = %d, want 0", gate)
+	}
+	if got := fmt.Sprint(exact); got != "7.5e-05" {
+		t.Errorf("exact prints %s, want 7.5e-05", got)
+	}
+	if gate, exact := allocsPerOp(160000, 80000); gate != 2 || exact != 2 {
+		t.Errorf("allocsPerOp(160000, 80000) = (%d, %v), want (2, 2)", gate, exact)
 	}
 }

@@ -36,6 +36,45 @@ func BenchmarkSkipListInsertDelete(b *testing.B) {
 	}
 }
 
+// BenchmarkSkipListChurn runs the served churn mix on one store partition:
+// 2^17 keys at 16 levels (one partition of a 2^20-record, 8-partition store
+// at the default skiplist height), uniform 50/25/25 get/insert/remove, with
+// inserts minting fresh keys and removes taking random live ones, so the
+// population stays near 2^17.
+func BenchmarkSkipListChurn(b *testing.B) {
+	const n = 1 << 17
+	s := NewSkipList(16)
+	// i*odd is a bijection mod 2^63: fresh(i) never repeats, and +1 keeps
+	// it clear of the reserved sentinels.
+	fresh := func(i uint64) uint64 { return (i*0x9e3779b97f4a7c15)&(1<<63-1) + 1 }
+	live := make([]uint64, 0, 2*n)
+	minted := uint64(0)
+	for ; minted < n; minted++ {
+		k := fresh(minted)
+		s.Insert(k, k)
+		live = append(live, k)
+	}
+	rng := prng.New(5)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		switch op := rng.Intn(4); {
+		case op < 2:
+			s.Get(live[rng.Intn(len(live))])
+		case op == 2:
+			k := fresh(minted)
+			minted++
+			s.Insert(k, k)
+			live = append(live, k)
+		default:
+			j := rng.Intn(len(live))
+			s.Delete(live[j])
+			live[j] = live[len(live)-1]
+			live = live[:len(live)-1]
+		}
+	}
+}
+
 func BenchmarkSkipListGetParallel(b *testing.B) {
 	s := NewSkipList(20)
 	const n = 1 << 16

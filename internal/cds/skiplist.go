@@ -1,10 +1,13 @@
 // Package cds provides native (non-simulated) concurrent data structures
 // used by the hybrid runtime in internal/core and usable standalone: a
-// lock-free skiplist in the Herlihy-Lev-Shavit style and a single-threaded
-// B+ tree suitable as a partition-owned store.
+// lazy skiplist in the Herlihy-Lev-Luchangco-Shavit style (wait-free
+// reads, per-node-locked writers) and a single-threaded B+ tree suitable
+// as a partition-owned store.
 package cds
 
 import (
+	"runtime"
+	"sync"
 	"sync/atomic"
 
 	"hybrids/internal/metrics"
@@ -13,30 +16,55 @@ import (
 // MaxHeight bounds skiplist towers; 2^32 elements need no more.
 const MaxHeight = 32
 
-// succ pairs a successor pointer with the logical-deletion mark, so mark
-// and pointer change together under a single CAS (the Go equivalent of a
-// mark bit stolen from the pointer).
-type succ struct {
-	next   *slNode
-	marked bool
-}
-
+// slNode is one skiplist entry. Links are plain pointers; logical deletion
+// lives in the node's own marked flag rather than beside each link, so a
+// search follows one pointer per hop and allocates nothing. mu is taken
+// only by writers: to mark or update the node, or to relink its
+// successors.
 type slNode struct {
-	key    uint64
-	value  atomic.Uint64
-	height int
-	next   []atomic.Pointer[succ]
+	key         uint64
+	next        []atomic.Pointer[slNode] // tower; height = len(next)
+	value       atomic.Uint64
+	marked      atomic.Bool // logically deleted; set once, under mu
+	fullyLinked atomic.Bool // linked at every level of its tower
+	mu          sync.Mutex
 }
 
-func newSLNode(key, value uint64, height int) *slNode {
-	n := &slNode{key: key, height: height, next: make([]atomic.Pointer[succ], height)}
-	n.value.Store(value)
+// towered is a node with its tower stored inline; T is the tower array.
+type towered[T any] struct {
+	slNode
+	t T
+}
+
+// newSLNode allocates a node of height h with its tower in the same
+// object, right behind the node's fields: one allocation per Insert, and
+// the low levels a search hops along share the node's cache line. Towers
+// above 4 levels (1 node in 16) take a separate allocation.
+func newSLNode(key uint64, h int) *slNode {
+	var n *slNode
+	var tower []atomic.Pointer[slNode]
+	switch {
+	case h == 1:
+		c := new(towered[[1]atomic.Pointer[slNode]])
+		n, tower = &c.slNode, c.t[:]
+	case h == 2:
+		c := new(towered[[2]atomic.Pointer[slNode]])
+		n, tower = &c.slNode, c.t[:]
+	case h <= 4:
+		c := new(towered[[4]atomic.Pointer[slNode]])
+		n, tower = &c.slNode, c.t[:h]
+	default:
+		n, tower = new(slNode), make([]atomic.Pointer[slNode], h)
+	}
+	n.key, n.next = key, tower
 	return n
 }
 
-// SkipList is a lock-free concurrent ordered map from uint64 keys to
-// uint64 values. All methods are safe for concurrent use. Deleted nodes
-// are unlinked cooperatively and reclaimed by the garbage collector.
+// SkipList is a concurrent ordered map from uint64 keys to uint64 values:
+// the optimistic "lazy" skiplist. Get and Ascend take no locks; Insert and
+// Delete search without locks, then lock the affected predecessors,
+// validate and link or unlink. All methods are safe for concurrent use.
+// Deleted nodes are reclaimed by the garbage collector.
 type SkipList struct {
 	head   *slNode
 	tail   *slNode
@@ -49,12 +77,13 @@ type SkipList struct {
 	cSnips    *metrics.Counter
 }
 
-// Instrument registers the list's structural-event counters — traversal
-// restarts forced by contention and physical unlinks of deleted nodes —
-// in reg under prefix (as "<prefix>/restarts" and "<prefix>/snips").
-// Unlike the list itself the instruments are NOT synchronized: call
-// Instrument only when a single goroutine owns the list, which is exactly
-// the per-partition combiner discipline of the native hybrid runtime.
+// Instrument registers the list's structural-event counters — writer
+// retries after a failed validation and physical unlinks (one per tower
+// level) of deleted nodes — in reg under prefix (as "<prefix>/restarts"
+// and "<prefix>/snips"). Unlike the list itself the instruments are NOT
+// synchronized: call Instrument only when a single goroutine owns the
+// list, which is exactly the per-partition combiner discipline of the
+// native hybrid runtime.
 func (s *SkipList) Instrument(reg *metrics.Registry, prefix string) {
 	s.cRestarts = reg.Counter(prefix + "/restarts")
 	s.cSnips = reg.Counter(prefix + "/snips")
@@ -64,18 +93,12 @@ func (s *SkipList) Instrument(reg *metrics.Registry, prefix string) {
 // (typically log2 of the expected size; values outside [1, MaxHeight] are
 // clamped).
 func NewSkipList(levels int) *SkipList {
-	if levels < 1 {
-		levels = 1
-	}
-	if levels > MaxHeight {
-		levels = MaxHeight
-	}
+	levels = min(max(levels, 1), MaxHeight)
 	s := &SkipList{levels: levels}
-	s.tail = newSLNode(^uint64(0), 0, levels)
-	s.head = newSLNode(0, 0, levels)
-	for i := 0; i < levels; i++ {
-		s.tail.next[i].Store(&succ{}) // terminal, never followed
-		s.head.next[i].Store(&succ{next: s.tail})
+	s.tail = &slNode{key: ^uint64(0)} // terminal, never followed
+	s.head = &slNode{next: make([]atomic.Pointer[slNode], levels)}
+	for i := range s.head.next {
+		s.head.next[i].Store(s.tail)
 	}
 	s.seed.Store(0x9e3779b97f4a7c15)
 	return s
@@ -100,72 +123,80 @@ func (s *SkipList) randomHeight() int {
 	return h
 }
 
-// find locates key, filling preds/succs and snipping marked nodes.
-func (s *SkipList) find(key uint64, preds, succs []*slNode) bool {
-retry:
-	for {
-		pred := s.head
-		for level := s.levels - 1; level >= 0; level-- {
-			curr := pred.next[level].Load().next
-			for {
-				sc := curr.next[level].Load()
-				for sc.marked {
-					// curr is logically deleted: snip it out;
-					// restart from the head on interference.
-					if !s.snip(pred, curr, sc.next, level) {
-						inc(s.cRestarts)
-						continue retry
-					}
-					inc(s.cSnips)
-					curr = pred.next[level].Load().next
-					sc = curr.next[level].Load()
-				}
-				if curr.key < key {
-					pred = curr
-					curr = sc.next
-				} else {
-					break
-				}
-			}
-			preds[level] = pred
-			succs[level] = curr
+// find fills preds/succs with key's neighbourhood at every level and
+// returns the highest level whose successor holds key, or -1.
+func (s *SkipList) find(key uint64, preds, succs *[MaxHeight]*slNode) int {
+	found := -1
+	pred := s.head
+	for level := s.levels - 1; level >= 0; level-- {
+		curr := pred.next[level].Load()
+		for curr.key < key {
+			pred, curr = curr, curr.next[level].Load()
 		}
-		return succs[0].key == key
+		if found < 0 && curr.key == key {
+			found = level
+		}
+		preds[level], succs[level] = pred, curr
+	}
+	return found
+}
+
+// seek returns the first node whose key is >= key, stopping at the
+// highest level that holds key itself.
+func (s *SkipList) seek(key uint64) *slNode {
+	pred := s.head
+	for level := s.levels - 1; ; level-- {
+		curr := pred.next[level].Load()
+		for curr.key < key {
+			pred, curr = curr, curr.next[level].Load()
+		}
+		if curr.key == key || level == 0 {
+			return curr
+		}
 	}
 }
 
-// snip CASes pred.next[level] from curr to next, provided pred's link is
-// unmarked and still points at curr.
-func (s *SkipList) snip(pred, curr, next *slNode, level int) bool {
-	old := pred.next[level].Load()
-	if old.marked || old.next != curr {
-		return false
+// live reports whether n is a present key: fully linked and not deleted.
+func (n *slNode) live() bool { return n.fullyLinked.Load() && !n.marked.Load() }
+
+// lockPreds locks preds[0..h) bottom-up — in descending key order, the
+// one order every writer uses, so writers cannot deadlock — skipping a
+// node repeated at consecutive levels. It stops at the first level where
+// ok fails and returns whether all h levels validated, plus the highest
+// level it locked (for unlockPreds).
+func lockPreds(preds *[MaxHeight]*slNode, h int, ok func(l int) bool) (bool, int) {
+	top := -1
+	for l := 0; l < h; l++ {
+		if l == 0 || preds[l] != preds[l-1] {
+			preds[l].mu.Lock()
+		}
+		top = l
+		if !ok(l) {
+			return false, top
+		}
 	}
-	return pred.next[level].CompareAndSwap(old, &succ{next: next})
+	return true, top
+}
+
+func unlockPreds(preds *[MaxHeight]*slNode, top int) {
+	for l := 0; l <= top; l++ {
+		if l == 0 || preds[l] != preds[l-1] {
+			preds[l].mu.Unlock()
+		}
+	}
+}
+
+// retry counts a writer restart and yields: the writer it lost to may
+// need this CPU, or the lock just released, to finish its own update.
+func (s *SkipList) retry() {
+	inc(s.cRestarts)
+	runtime.Gosched()
 }
 
 // Get returns the value stored under key.
 func (s *SkipList) Get(key uint64) (uint64, bool) {
-	pred := s.head
-	var curr *slNode
-	for level := s.levels - 1; level >= 0; level-- {
-		curr = pred.next[level].Load().next
-		for {
-			sc := curr.next[level].Load()
-			for sc.marked {
-				curr = sc.next
-				sc = curr.next[level].Load()
-			}
-			if curr.key < key {
-				pred = curr
-				curr = sc.next
-			} else {
-				break
-			}
-		}
-	}
-	if curr.key == key {
-		return curr.value.Load(), true
+	if n := s.seek(key); n.key == key && n.live() {
+		return n.value.Load(), true
 	}
 	return 0, false
 }
@@ -176,163 +207,165 @@ func (s *SkipList) Insert(key, value uint64) bool {
 	if key == 0 || key == ^uint64(0) {
 		panic("cds: keys 0 and MaxUint64 are reserved sentinels")
 	}
-	preds := make([]*slNode, s.levels)
-	succs := make([]*slNode, s.levels)
+	var preds, succs [MaxHeight]*slNode
+	h := s.randomHeight()
 	for {
-		if s.find(key, preds, succs) {
-			return false
-		}
-		h := s.randomHeight()
-		node := newSLNode(key, value, h)
-		for l := 0; l < h; l++ {
-			node.next[l].Store(&succ{next: succs[l]})
-		}
-		// Bottom-level link is the linearization point.
-		if !preds[0].next[0].CompareAndSwap(unmarkedTo(preds[0], 0, succs[0]), &succ{next: node}) {
+		if l := s.find(key, &preds, &succs); l >= 0 {
+			n := succs[l]
+			if !n.marked.Load() {
+				for !n.fullyLinked.Load() {
+					runtime.Gosched() // a concurrent Insert is linking it
+				}
+				return false
+			}
+			s.retry() // wait for the deleted twin to be unlinked
 			continue
 		}
+		ok, top := lockPreds(&preds, h, func(l int) bool {
+			p, c := preds[l], succs[l]
+			return !p.marked.Load() && !c.marked.Load() && p.next[l].Load() == c
+		})
+		if !ok {
+			unlockPreds(&preds, top)
+			s.retry()
+			continue
+		}
+		n := newSLNode(key, h)
+		n.value.Store(value)
+		for l := 0; l < h; l++ {
+			n.next[l].Store(succs[l])
+		}
+		for l := 0; l < h; l++ {
+			preds[l].next[l].Store(n)
+		}
+		n.fullyLinked.Store(true) // linearization point
+		unlockPreds(&preds, top)
 		s.length.Add(1)
-		s.linkUpper(node, key, h, preds, succs)
 		return true
 	}
 }
 
-// unmarkedTo returns pred's current succ at level if it is the unmarked
-// link to want, else a sentinel that can never match.
-func unmarkedTo(pred *slNode, level int, want *slNode) *succ {
-	sc := pred.next[level].Load()
-	if !sc.marked && sc.next == want {
-		return sc
-	}
-	return &succ{} // fresh pointer: CAS will fail
-}
-
-func (s *SkipList) linkUpper(node *slNode, key uint64, h int, preds, succs []*slNode) {
-	for l := 1; l < h; l++ {
-		for {
-			raw := node.next[l].Load()
-			if raw.marked {
-				return // concurrently removed
-			}
-			if raw.next != succs[l] {
-				if !node.next[l].CompareAndSwap(raw, &succ{next: succs[l]}) {
-					continue
-				}
-			}
-			if preds[l].next[l].CompareAndSwap(unmarkedTo(preds[l], l, succs[l]), &succ{next: node}) {
-				break
-			}
-			if !s.find(key, preds, succs) {
-				return
-			}
-			if succs[0] != node {
-				return
-			}
-		}
-	}
-}
-
 // Update stores value under an existing key, returning false if absent.
+// It locks the node so it cannot write into one a concurrent Delete has
+// already removed.
 func (s *SkipList) Update(key, value uint64) bool {
-	preds := make([]*slNode, s.levels)
-	succs := make([]*slNode, s.levels)
-	if !s.find(key, preds, succs) {
+	n := s.seek(key)
+	if n.key != key || !n.fullyLinked.Load() {
 		return false
 	}
-	succs[0].value.Store(value)
+	n.mu.Lock()
+	defer n.mu.Unlock()
+	if n.marked.Load() {
+		return false
+	}
+	n.value.Store(value)
 	return true
 }
 
 // Delete removes key, returning false if absent or if a concurrent Delete
 // won the removal.
 func (s *SkipList) Delete(key uint64) bool {
-	preds := make([]*slNode, s.levels)
-	succs := make([]*slNode, s.levels)
-	if !s.find(key, preds, succs) {
-		return false
-	}
-	node := succs[0]
-	// Mark upper levels top-down.
-	for l := node.height - 1; l >= 1; l-- {
-		sc := node.next[l].Load()
-		for !sc.marked {
-			node.next[l].CompareAndSwap(sc, &succ{next: sc.next, marked: true})
-			sc = node.next[l].Load()
-		}
-	}
-	// Bottom-level mark is the linearization point.
+	var preds, succs [MaxHeight]*slNode
+	var victim *slNode
 	for {
-		sc := node.next[0].Load()
-		if sc.marked {
-			return false
-		}
-		if node.next[0].CompareAndSwap(sc, &succ{next: sc.next, marked: true}) {
+		l := s.find(key, &preds, &succs)
+		if victim == nil {
+			// Only a fully linked node found at its own top level is
+			// deletable; anything else is mid-insert or mid-delete.
+			if l < 0 {
+				return false
+			}
+			victim = succs[l]
+			if !victim.fullyLinked.Load() || len(victim.next)-1 != l {
+				return false
+			}
+			victim.mu.Lock()
+			if victim.marked.Load() {
+				victim.mu.Unlock()
+				return false
+			}
+			victim.marked.Store(true) // linearization point
 			s.length.Add(-1)
-			s.find(key, preds, succs) // physical cleanup
-			return true
 		}
+		h := len(victim.next)
+		ok, top := lockPreds(&preds, h, func(l int) bool {
+			p := preds[l]
+			return !p.marked.Load() && p.next[l].Load() == victim
+		})
+		if !ok {
+			unlockPreds(&preds, top)
+			s.retry()
+			continue
+		}
+		for l := h - 1; l >= 0; l-- {
+			preds[l].next[l].Store(victim.next[l].Load())
+		}
+		if s.cSnips != nil {
+			s.cSnips.Add(uint64(h))
+		}
+		victim.mu.Unlock()
+		unlockPreds(&preds, top)
+		return true
 	}
 }
 
 // Ascend calls fn for each live key >= from in ascending order until fn
 // returns false. It is a weakly consistent snapshot-free iteration.
 func (s *SkipList) Ascend(from uint64, fn func(key, value uint64) bool) {
-	preds := make([]*slNode, s.levels)
-	succs := make([]*slNode, s.levels)
-	s.find(from, preds, succs)
-	curr := succs[0]
-	for curr != s.tail {
-		sc := curr.next[0].Load()
-		if !sc.marked {
-			if !fn(curr.key, curr.value.Load()) {
-				return
-			}
+	for curr := s.seek(from); curr != s.tail; curr = curr.next[0].Load() {
+		if curr.live() && !fn(curr.key, curr.value.Load()) {
+			return
 		}
-		curr = sc.next
 	}
 }
 
 // CheckInvariants validates structural invariants (for tests) on a
-// quiescent list: strictly increasing keys per level, upper-level
-// membership restricted to nodes reachable at the bottom level, tower
-// heights within each node's allocation, and an unmarked-node count
+// quiescent list: strictly increasing keys per level, every reachable node
+// fully linked and unmarked, upper-level membership restricted to nodes
+// reachable at the bottom level, each tower linked at every level of its
+// height, heights within the list's level count, and a node count
 // matching Len. It must not race with mutators.
 func (s *SkipList) CheckInvariants() error {
-	live := 0
 	bottom := make(map[*slNode]bool)
+	tall := make([]int, s.levels) // tall[l]: bottom nodes of height > l
 	prev := s.head.key
-	for curr := s.head.next[0].Load().next; curr != s.tail; {
-		sc := curr.next[0].Load()
+	for curr := s.head.next[0].Load(); curr != s.tail; curr = curr.next[0].Load() {
 		if curr.key <= prev {
 			return errf("skiplist: level 0 key %d after %d", curr.key, prev)
 		}
-		if curr.height < 1 || curr.height > s.levels || len(curr.next) != curr.height {
-			return errf("skiplist: node %d with height %d of %d levels", curr.key, curr.height, s.levels)
+		if h := len(curr.next); h < 1 || h > s.levels {
+			return errf("skiplist: node %d with height %d of %d levels", curr.key, h, s.levels)
 		}
-		if !sc.marked {
-			live++
+		if !curr.live() {
+			return errf("skiplist: reachable node %d marked=%v fullyLinked=%v",
+				curr.key, curr.marked.Load(), curr.fullyLinked.Load())
+		}
+		for l := range curr.next {
+			tall[l]++
 		}
 		bottom[curr] = true
 		prev = curr.key
-		curr = sc.next
 	}
-	if live != s.Len() {
-		return errf("skiplist: length %d but %d unmarked nodes found", s.Len(), live)
+	if len(bottom) != s.Len() {
+		return errf("skiplist: length %d but %d nodes found", s.Len(), len(bottom))
 	}
 	for level := 1; level < s.levels; level++ {
-		prev := s.head.key
-		for curr := s.head.next[level].Load().next; curr != s.tail; {
+		prev, count := s.head.key, 0
+		for curr := s.head.next[level].Load(); curr != s.tail; curr = curr.next[level].Load() {
 			if !bottom[curr] {
 				return errf("skiplist: level %d node %d not linked at level 0", level, curr.key)
 			}
-			if curr.height <= level {
-				return errf("skiplist: node %d of height %d linked at level %d", curr.key, curr.height, level)
+			if len(curr.next) <= level {
+				return errf("skiplist: node %d of height %d linked at level %d", curr.key, len(curr.next), level)
 			}
 			if curr.key <= prev {
 				return errf("skiplist: level %d key %d after %d", level, curr.key, prev)
 			}
 			prev = curr.key
-			curr = curr.next[level].Load().next
+			count++
+		}
+		if count != tall[level] {
+			return errf("skiplist: level %d links %d nodes, %d towers reach it", level, count, tall[level])
 		}
 	}
 	return nil

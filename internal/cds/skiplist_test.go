@@ -255,3 +255,120 @@ func TestSkipListPropertyInsertDeleteRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+func TestSkipListConcurrentMixed(t *testing.T) {
+	// Writers and readers share 64 keys. Every value written encodes its
+	// key, so a reader that ever sees another key's value (or a torn
+	// node) fails; Ascend must stay strictly increasing throughout.
+	s := NewSkipList(8)
+	const (
+		threads = 8
+		keys    = 64
+		ops     = 10000
+	)
+	net := make([]int64, threads)
+	var wg sync.WaitGroup
+	for th := 0; th < threads; th++ {
+		wg.Add(1)
+		go func(th int) {
+			defer wg.Done()
+			rng := prng.New(uint64(th) + 11)
+			check := func(k, v uint64) bool {
+				if v>>20 != k {
+					t.Errorf("key %d holds value %#x written for key %d", k, v, v>>20)
+					return false
+				}
+				return true
+			}
+			for i := 0; i < ops; i++ {
+				k := uint64(rng.Intn(keys)) + 1
+				v := k<<20 | uint64(th*ops+i)&(1<<20-1)
+				switch rng.Intn(5) {
+				case 0:
+					if s.Insert(k, v) {
+						net[th]++
+					}
+				case 1:
+					if s.Delete(k) {
+						net[th]--
+					}
+				case 2:
+					s.Update(k, v)
+				case 3:
+					if got, ok := s.Get(k); ok && !check(k, got) {
+						return
+					}
+				default:
+					prev, n := k-1, 0
+					s.Ascend(k, func(key, val uint64) bool {
+						if key <= prev {
+							t.Errorf("Ascend(%d): key %d after %d", k, key, prev)
+							return false
+						}
+						prev, n = key, n+1
+						return check(key, val) && n < 16
+					})
+				}
+				if t.Failed() {
+					return
+				}
+			}
+		}(th)
+	}
+	wg.Wait()
+	if err := s.CheckInvariants(); err != nil {
+		t.Fatal(err)
+	}
+	total := int64(0)
+	for _, n := range net {
+		total += n
+	}
+	if total != int64(s.Len()) {
+		t.Fatalf("net successful inserts - deletes = %d, Len = %d", total, s.Len())
+	}
+}
+
+func TestSkipListAllocs(t *testing.T) {
+	// Searches carry their predecessor arrays on the stack and links are
+	// plain pointers: only Insert may allocate (the node and its tower).
+	s := NewSkipList(16)
+	for k := uint64(2); k <= 4000; k += 2 {
+		s.Insert(k, k)
+	}
+	victim, fresh := uint64(2000), uint64(1)
+	zero := []struct {
+		name string
+		fn   func()
+	}{
+		{"Get/hit", func() { s.Get(100) }},
+		{"Get/miss", func() { s.Get(101) }},
+		{"Update/hit", func() { s.Update(100, 7) }},
+		{"Update/miss", func() { s.Update(101, 7) }},
+		{"Delete/hit", func() {
+			victim += 2
+			if !s.Delete(victim) {
+				t.Fatalf("Delete(%d) missed", victim)
+			}
+		}},
+		{"Delete/miss", func() { s.Delete(101) }},
+		{"Ascend", func() {
+			s.Ascend(500, func(k, v uint64) bool { return k < 600 })
+		}},
+	}
+	for _, c := range zero {
+		if a := testing.AllocsPerRun(200, c.fn); a != 0 {
+			t.Errorf("%s: %v allocs/op, want 0", c.name, a)
+		}
+	}
+	if a := testing.AllocsPerRun(200, func() {
+		fresh += 2
+		if !s.Insert(fresh, fresh) {
+			t.Fatalf("Insert(%d) failed", fresh)
+		}
+	}); a > 2 {
+		t.Errorf("Insert: %v allocs/op, want <= 2", a)
+	}
+	if err := s.CheckInvariants(); err != nil {
+		t.Fatal(err)
+	}
+}

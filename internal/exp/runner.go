@@ -96,6 +96,9 @@ type Cell struct {
 	// native runtime's registry (core/p<i>/... instruments). Nil for
 	// simulated cells.
 	Metrics map[string]uint64 `json:"metrics,omitempty"`
+	// Gauges carries fractional measurements that an integer Metrics
+	// entry would truncate. Nil for simulated cells.
+	Gauges map[string]float64 `json:"gauges,omitempty"`
 	// LatP50Nanos, LatP95Nanos and LatP99Nanos are the measured phase's
 	// per-operation wall-clock latency percentiles. Only native blocking
 	// cells set them (per-op latency is undefined with several calls in
