@@ -7,8 +7,9 @@ import (
 
 // BenchmarkEngineDispatch measures the dispatch loop under contention:
 // eight actors with mutually prime step sizes, so nearly every Advance
-// re-sorts into the heap and hands off the resume permit. Reports the
-// dispatch rate (events/s) and the cost per dispatched event (ns/event).
+// re-sorts into the heap and yields to Run, which resumes the next actor's
+// coroutine. Reports the dispatch rate (events/s) and the cost per
+// dispatched event (ns/event).
 func BenchmarkEngineDispatch(b *testing.B) {
 	const actors = 8
 	e := New()
@@ -34,7 +35,7 @@ func BenchmarkEngineDispatch(b *testing.B) {
 
 // BenchmarkEngineAdvanceFastPath measures the uncontended case: a single
 // runnable actor advancing with an empty heap, which the inlined Advance
-// fast path must keep channel-free.
+// fast path must keep free of coroutine switches.
 func BenchmarkEngineAdvanceFastPath(b *testing.B) {
 	e := New()
 	e.Spawn("solo", false, func(a *Actor) {

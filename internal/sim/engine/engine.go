@@ -1,24 +1,34 @@
+//go:build go1.23
+
+// The constraint raises this file's language version to go1.23 for
+// iter.Pull (go vet rejects the call under go.mod's go 1.22). go.mod stays
+// at 1.22 because the perfbench module pins that line and replaces this
+// module, which then may not declare a newer one.
+
 // Package engine implements a deterministic virtual-time discrete-event
 // engine for architecture simulation.
 //
 // Simulated hardware agents (host threads, near-memory cores) are Actors:
-// goroutines that run ordinary Go code but advance a virtual cycle clock
+// coroutines that run ordinary Go code but advance a virtual cycle clock
 // through explicit Advance calls. Exactly one actor makes progress at any
 // real-time instant and actors are dispatched in virtual-time order with
 // deterministic FIFO tie-breaking, so a simulation with fixed inputs always
 // produces identical interleavings and identical results — host garbage
 // collection or OS scheduling can never perturb simulated time.
 //
-// Control transfers between actors by a single resume-permit handoff: the
-// actor that parks (or finishes) pops the next event itself and posts the
-// permit directly to that actor's buffered wake channel. There is no
-// scheduler goroutine in the dispatch loop, so a context switch costs one
-// goroutine handoff rather than the two (actor -> scheduler -> actor) of a
-// centralized design.
+// Each actor's body runs inside an iter.Pull coroutine created at Spawn,
+// and Run is the dispatch loop: it pops the earliest event and resumes that
+// actor's coroutine, which runs until it parks (Advance past a pending
+// event), blocks, or finishes, and then yields back to Run. A coroutine
+// switch hands the thread straight to the target goroutine without going
+// through the Go scheduler, so a dispatch costs two direct switches
+// (Run -> actor -> Run) and no channel operations.
 package engine
 
 import (
+	"errors"
 	"fmt"
+	"iter"
 	"sort"
 
 	"hybrids/internal/metrics"
@@ -26,8 +36,8 @@ import (
 )
 
 // Actor is a simulated execution agent with its own virtual clock.
-// All methods must be called only from the actor's own goroutine, while
-// that actor is the one dispatched by the engine.
+// All methods must be called only from the actor's own body, while that
+// actor is the one dispatched by the engine.
 type Actor struct {
 	// ID is the engine-assigned index, unique per engine.
 	ID int
@@ -40,17 +50,20 @@ type Actor struct {
 
 	eng *Engine
 	now uint64
-	// wake carries this actor's resume permit (capacity 1: a parked actor
-	// has at most one pending event, hence at most one outstanding permit).
-	wake        chan struct{}
+	// next resumes the actor's coroutine until it yields (parks or
+	// blocks) or finishes (ok false); yield, called on the coroutine,
+	// suspends it back to Run; stop unwinds a suspended coroutine. All
+	// three come from iter.Pull at Spawn.
+	next        func() (struct{}, bool)
+	yield       func(struct{}) bool
+	stop        func()
 	finished    bool
 	blocked     bool
 	wakePending bool
-	body        func(*Actor)
 
 	// Tracing state (engine tracer only): the trace track carrying this
 	// actor's dispatch spans (-1 until first used) and the virtual time
-	// the actor last received the resume permit.
+	// the actor was last dispatched.
 	track        int
 	dispatchedAt uint64
 
@@ -70,13 +83,13 @@ func (a *Actor) Engine() *Engine { return a.eng }
 //
 // Fast path: if this actor would still be dispatched first — strictly
 // earlier than every pending event (ties go to the earlier-queued event,
-// so equality must park) — the park/handoff round trip is skipped
+// so equality must park) — the round trip through Run is skipped
 // entirely. The body below is kept small enough to inline into the
 // machine layer's Step and memory-access call sites, so the common
 // uncontended case (single runnable actor: build phases, 1-thread cells,
 // an unblocker racing ahead of the actor it just woke) costs a heap-top
-// comparison and no channel operations. Dispatch order is identical to
-// the slow path.
+// comparison and no coroutine switch. Dispatch order is identical to the
+// slow path.
 func (a *Actor) Advance(c uint64) {
 	a.now += c
 	a.Cycles += c
@@ -88,22 +101,33 @@ func (a *Actor) Advance(c uint64) {
 	a.repark()
 }
 
-// repark is Advance's slow path: queue the actor's continuation, hand the
-// resume permit to the next runnable actor, and wait for the permit to
-// come back. Split from Advance so the fast path stays inlinable.
+// repark is Advance's slow path: queue the actor's continuation and yield
+// to Run, which resumes the actor when that event is dispatched. Split
+// from Advance so the fast path stays inlinable.
 func (a *Actor) repark() {
 	e := a.eng
 	if e.tr != nil {
 		a.noteRun()
 	}
 	e.push(a)
-	e.dispatchNext()
-	<-a.wake
+	a.park()
+}
+
+// errAborted unwinds a parked actor's body when Run tears the engine down.
+var errAborted = errors.New("engine: actor aborted")
+
+// park suspends the actor's coroutine and returns once Run dispatches it
+// again. A false yield means Run is tearing the engine down after a panic:
+// the body is unwound (running its defers) instead of resumed.
+func (a *Actor) park() {
+	if !a.yield(struct{}{}) {
+		panic(errAborted)
+	}
 }
 
 // noteRun records the dispatch span that ends now: the actor's continuous
-// run from its last resume permit to this park/finish. Called only when the
-// engine tracer is set, on the actor's own goroutine.
+// run from its last dispatch to this park/finish. Called only when the
+// engine tracer is set.
 func (a *Actor) noteRun() {
 	e := a.eng
 	if a.track < 0 {
@@ -152,8 +176,7 @@ func (a *Actor) Block() {
 		a.noteRun()
 	}
 	a.blocked = true
-	e.dispatchNext()
-	<-a.wake
+	a.park()
 }
 
 // Unblock schedules blocked actor b to resume delay cycles after the
@@ -178,13 +201,10 @@ func (a *Actor) Unblock(b *Actor, delay uint64) {
 // Engine schedules actors in virtual-time order.
 // The zero value is not usable; call New.
 type Engine struct {
-	now    uint64
-	seq    uint64
-	pq     eventHeap
-	actors []*Actor
-	// done receives one token when the last actor finishes (capacity 1:
-	// the final handoff must not block the finishing actor's goroutine).
-	done     chan struct{}
+	now      uint64
+	seq      uint64
+	pq       eventHeap
+	actors   []*Actor
 	live     int // unfinished non-daemon actors
 	liveAll  int // unfinished actors of any kind
 	stopping bool
@@ -204,7 +224,7 @@ type Engine struct {
 // private registry (replace it with AttachMetrics to share a machine-wide
 // one).
 func New() *Engine {
-	e := &Engine{done: make(chan struct{}, 1)}
+	e := &Engine{}
 	e.AttachMetrics(metrics.NewRegistry())
 	return e
 }
@@ -235,17 +255,20 @@ func (e *Engine) Actors() []*Actor { return e.actors }
 // Spawn registers a new actor whose body runs starting at the spawner's
 // current virtual time (or cycle 0 when called before Run). Spawn may be
 // called before Run or from a running actor, never from outside while the
-// engine runs.
+// engine runs. The body runs in a coroutine that starts at the actor's
+// first dispatch.
 func (e *Engine) Spawn(name string, daemon bool, body func(*Actor)) *Actor {
 	a := &Actor{
 		ID:     len(e.actors),
 		Name:   name,
 		Daemon: daemon,
 		eng:    e,
-		wake:   make(chan struct{}, 1),
-		body:   body,
 		track:  -1,
 	}
+	a.next, a.stop = iter.Pull(func(yield func(struct{}) bool) {
+		a.yield = yield
+		body(a)
+	})
 	if e.running {
 		// Inherit the current virtual time so causality is preserved.
 		a.now = e.now
@@ -256,16 +279,14 @@ func (e *Engine) Spawn(name string, daemon bool, body func(*Actor)) *Actor {
 	if !daemon {
 		e.live++
 	}
-	go a.run()
 	e.push(a)
 	return a
 }
 
-func (a *Actor) run() {
-	<-a.wake
-	a.body(a)
+// finish retires an actor whose body has returned, and once the last
+// non-daemon actor is done, enters the stopping state.
+func (e *Engine) finish(a *Actor) {
 	a.finished = true
-	e := a.eng
 	if e.tr != nil {
 		a.noteRun()
 	}
@@ -287,42 +308,15 @@ func (a *Actor) run() {
 			}
 		}
 	}
-	e.dispatchNext()
 }
 
-// dispatchNext pops the next runnable event and hands its actor the
-// resume permit, or signals completion when no actors remain. It runs on
-// the goroutine of the actor that is parking or finishing (and once in
-// Run, to start the simulation), so a deadlock panics on that actor's
-// goroutine with its stack in view.
-func (e *Engine) dispatchNext() {
-	for {
-		if e.liveAll == 0 {
-			e.done <- struct{}{}
-			return
-		}
-		if len(e.pq) == 0 {
-			panic("engine: deadlock: live actors but no pending events: " + e.liveNames())
-		}
-		ev := e.pop()
-		if ev.a.finished {
-			continue
-		}
-		e.now = ev.at
-		e.stDispatches.Inc()
-		if e.tr != nil {
-			ev.a.dispatchedAt = ev.at
-		}
-		ev.a.wake <- struct{}{}
-		return
-	}
-}
-
-// Run dispatches the first event and waits until every actor (daemons
-// included) has finished; thereafter actors hand control to each other
-// directly. A deadlock — unfinished actors but no pending events, meaning
-// an actor waits on a condition no other actor can ever satisfy — panics
-// on the goroutine of the last parking actor.
+// Run is the dispatch loop. It pops the earliest event, sets the engine
+// clock to it and resumes that actor's coroutine until the actor yields
+// or finishes, and repeats until every actor (daemons included) has
+// finished. A deadlock — unfinished actors but no pending events, meaning
+// an actor waits on a condition no other actor can ever satisfy — panics,
+// as does a panic raised inside an actor's body (with its original
+// value); both reach the caller of Run, which may recover them.
 func (e *Engine) Run() {
 	if e.running {
 		panic("engine: Run called twice")
@@ -331,11 +325,37 @@ func (e *Engine) Run() {
 	if e.live == 0 {
 		e.stopping = true
 	}
-	if e.liveAll == 0 {
-		return
+	defer e.unwind()
+	for e.liveAll > 0 {
+		if len(e.pq) == 0 {
+			panic("engine: deadlock: live actors but no pending events: " + e.liveNames())
+		}
+		ev := e.pop()
+		a := ev.a
+		e.now = ev.at
+		e.stDispatches.Inc()
+		if e.tr != nil {
+			a.dispatchedAt = ev.at
+		}
+		if _, ok := a.next(); !ok {
+			e.finish(a)
+		}
 	}
-	e.dispatchNext()
-	<-e.done
+}
+
+// unwind runs as Run returns. After a normal run every actor has finished
+// and it does nothing; when Run panics it stops each unfinished actor's
+// coroutine, so none outlives the engine. Panics raised while unwinding are
+// dropped: Run is already propagating the one that matters.
+func (e *Engine) unwind() {
+	for _, a := range e.actors {
+		if !a.finished {
+			func() {
+				defer func() { _ = recover() }()
+				a.stop()
+			}()
+		}
+	}
 }
 
 func (e *Engine) liveNames() string {

@@ -25,7 +25,7 @@ type Kind uint8
 // Event kinds, grouped by emitting layer.
 const (
 	// KindRun is an engine dispatch span: one actor's continuous run
-	// between receiving the resume permit and parking (Arg: actor ID).
+	// from its coroutine's resume to its yield (Arg: actor ID).
 	KindRun Kind = iota
 	// KindL1Hit is a host access served by the core's private L1 (span).
 	KindL1Hit
