@@ -51,9 +51,13 @@
 // -scrape URL points at a hybridsd admin plane (-admin-addr): each
 // workload's measured phase is bracketed by two /metrics.json scrapes
 // and the server/* counter deltas are merged into its report row,
-// pairing client-observed numbers with server-side truth. Reports always
-// carry a meta block with run provenance (Go version, platform,
-// GOMAXPROCS, VCS revision when built from a checkout).
+// pairing client-observed numbers with server-side truth. Before the
+// first scrape, hybridsload polls /conns until only the workload's own
+// connections are open, so an earlier connection (the preload, a previous
+// workload) still closing on the server cannot land in the window; the
+// wait is bounded and fails the run when another client stays connected.
+// Reports always carry a meta block with run provenance (Go version,
+// platform, GOMAXPROCS, VCS revision when built from a checkout).
 package main
 
 import (
@@ -467,28 +471,59 @@ func cleanupInserts(addr string, streams [][]kv.Op) error {
 	return nil
 }
 
+// adminGet decodes the JSON document a hybridsd admin plane serves at
+// path (GET <base><path>).
+func adminGet(base, path string, v any) error {
+	if !strings.Contains(base, "://") {
+		base = "http://" + base
+	}
+	resp, err := http.Get(strings.TrimSuffix(base, "/") + path)
+	if err != nil {
+		return err
+	}
+	defer resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		return fmt.Errorf("%s: %s", strings.TrimPrefix(path, "/"), resp.Status)
+	}
+	return json.NewDecoder(resp.Body).Decode(v)
+}
+
 // scrapeCounters pulls the server's counter snapshot from a hybridsd
 // admin plane (GET <base>/metrics.json) so a load report can carry
 // server-side truth next to the client-observed numbers.
 func scrapeCounters(base string) (map[string]uint64, error) {
-	if !strings.Contains(base, "://") {
-		base = "http://" + base
-	}
-	resp, err := http.Get(strings.TrimSuffix(base, "/") + "/metrics.json")
-	if err != nil {
-		return nil, err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return nil, fmt.Errorf("metrics.json: %s", resp.Status)
-	}
 	var doc struct {
 		Counters map[string]uint64 `json:"counters"`
 	}
-	if err := json.NewDecoder(resp.Body).Decode(&doc); err != nil {
+	if err := adminGet(base, "/metrics.json", &doc); err != nil {
 		return nil, err
 	}
 	return doc.Counters, nil
+}
+
+// scrapeSettle bounds the pre-scrape wait for earlier connections to
+// close.
+const scrapeSettle = 5 * time.Second
+
+// awaitConns polls the admin plane's GET /conns until at most want
+// connections are open on the server, and fails once timeout passes with
+// more still open.
+func awaitConns(base string, want int, timeout time.Duration) error {
+	deadline := time.Now().Add(timeout)
+	for {
+		var conns []json.RawMessage
+		if err := adminGet(base, "/conns", &conns); err != nil {
+			return err
+		}
+		if len(conns) <= want {
+			return nil
+		}
+		if time.Now().After(deadline) {
+			return fmt.Errorf("%d connections still open on the server after %v, want only this workload's %d (is another client connected?)",
+				len(conns), timeout, want)
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
 }
 
 // provenance collects the run's build and runtime facts for the report's
@@ -535,6 +570,9 @@ type loadFlags struct {
 	ramp   time.Duration
 	slo    time.Duration
 	scrape string
+	// settle bounds the wait for earlier connections to close before
+	// the pre-scrape.
+	settle time.Duration
 }
 
 // workloadResult is one workload's measured outcome.
@@ -587,11 +625,22 @@ func runWorkload(lf loadFlags, spec workloadSpec, streams [][]kv.Op) (workloadRe
 	warmed.Wait()
 
 	// Scrapes stay outside the ReadMemStats bracket: the HTTP client's
-	// allocations must not pollute the allocs/op gate.
+	// allocations must not pollute the allocs/op gate. The window opens
+	// only once earlier connections have closed on the server, so their
+	// closes are not counted in it.
 	var pre map[string]uint64
 	if lf.scrape != "" {
-		var err error
-		if pre, err = scrapeCounters(lf.scrape); err != nil {
+		err := awaitConns(lf.scrape, lf.conns, lf.settle)
+		if err == nil {
+			pre, err = scrapeCounters(lf.scrape)
+		}
+		if err != nil {
+			// Release the connections parked at the start gate.
+			for _, w := range wires {
+				w.close()
+			}
+			close(start)
+			wg.Wait()
 			return workloadResult{}, fmt.Errorf("scrape: %w", err)
 		}
 	}
@@ -749,7 +798,7 @@ func main() {
 
 	lf := loadFlags{
 		addr: *addr, conns: *conns, depth: *depth, ops: *ops, warmup: *warmup,
-		rate: *rate, ramp: *ramp, slo: *slo, scrape: *scrape,
+		rate: *rate, ramp: *ramp, slo: *slo, scrape: *scrape, settle: scrapeSettle,
 	}
 	mode, header := "closed-loop", []string{"workload", "conns", "depth", "ops", "Mops/s", "p50 µs", "p95 µs", "p99 µs", "max µs", "allocs/op"}
 	if openLoop {
