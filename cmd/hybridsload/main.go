@@ -570,9 +570,6 @@ type loadFlags struct {
 	ramp   time.Duration
 	slo    time.Duration
 	scrape string
-	// settle bounds the wait for earlier connections to close before
-	// the pre-scrape.
-	settle time.Duration
 }
 
 // workloadResult is one workload's measured outcome.
@@ -630,7 +627,7 @@ func runWorkload(lf loadFlags, spec workloadSpec, streams [][]kv.Op) (workloadRe
 	// closes are not counted in it.
 	var pre map[string]uint64
 	if lf.scrape != "" {
-		err := awaitConns(lf.scrape, lf.conns, lf.settle)
+		err := awaitConns(lf.scrape, lf.conns, scrapeSettle)
 		if err == nil {
 			pre, err = scrapeCounters(lf.scrape)
 		}
@@ -798,7 +795,7 @@ func main() {
 
 	lf := loadFlags{
 		addr: *addr, conns: *conns, depth: *depth, ops: *ops, warmup: *warmup,
-		rate: *rate, ramp: *ramp, slo: *slo, scrape: *scrape, settle: scrapeSettle,
+		rate: *rate, ramp: *ramp, slo: *slo, scrape: *scrape,
 	}
 	mode, header := "closed-loop", []string{"workload", "conns", "depth", "ops", "Mops/s", "p50 µs", "p95 µs", "p99 µs", "max µs", "allocs/op"}
 	if openLoop {

@@ -76,7 +76,7 @@ func scrapeWorkload(t *testing.T) (workloadSpec, loadFlags, [][]kv.Op) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	lf := loadFlags{conns: 2, depth: 4, ops: 200, warmup: 16, settle: 5 * time.Second}
+	lf := loadFlags{conns: 2, depth: 4, ops: 200, warmup: 16}
 	return specs[0], lf, ycsb.New(specs[0].cfg).Streams(lf.conns, lf.warmup+lf.ops)
 }
 
@@ -132,19 +132,21 @@ func TestScrapeWindowExcludesEarlierConns(t *testing.T) {
 	}
 }
 
-// A connection that never closes bounds the wait: the run fails with an
-// error that names the open-connection count instead of hanging.
-func TestScrapeWaitTimesOut(t *testing.T) {
+// A connection that never closes bounds the wait: awaitConns fails with
+// an error that names the open-connection count instead of hanging.
+func TestAwaitConnsTimesOut(t *testing.T) {
 	sh := newScrapeHarness(t)
-	stale := sh.dialStale(t)
-	defer stale.Close()
-	spec, lf, streams := scrapeWorkload(t)
+	for i := 0; i < 3; i++ {
+		defer sh.dialStale(t).Close()
+	}
 	web := httptest.NewServer(sh.adm)
 	defer web.Close()
 
-	lf.addr, lf.scrape, lf.settle = sh.addr, web.URL, 50*time.Millisecond
-	_, err := runWorkload(lf, spec, streams)
+	if err := awaitConns(web.URL, 3, time.Millisecond); err != nil {
+		t.Fatalf("awaitConns with 3 open, want 3: %v", err)
+	}
+	err := awaitConns(web.URL, 2, 50*time.Millisecond)
 	if err == nil || !strings.Contains(err.Error(), "3 connections still open") {
-		t.Fatalf("runWorkload error = %v, want a bounded /conns wait failure", err)
+		t.Fatalf("awaitConns error = %v, want a bounded wait failure naming 3 open connections", err)
 	}
 }

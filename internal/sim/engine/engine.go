@@ -345,8 +345,10 @@ func (e *Engine) Run() {
 
 // unwind runs as Run returns. After a normal run every actor has finished
 // and it does nothing; when Run panics it stops each unfinished actor's
-// coroutine, so none outlives the engine. Panics raised while unwinding are
-// dropped: Run is already propagating the one that matters.
+// coroutine, so none outlives the engine. stop re-raises the errAborted
+// that unwound the body, or whatever the body's deferred code panicked
+// with instead; both are dropped, because re-raising one here would
+// replace the panic Run is propagating.
 func (e *Engine) unwind() {
 	for _, a := range e.actors {
 		if !a.finished {

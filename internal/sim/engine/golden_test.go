@@ -39,7 +39,6 @@ func runGoldenScenario(t *testing.T) string {
 
 	steps := []uint64{2, 3, 5, 7, 11, 13, 17, 19}
 	for i, step := range steps {
-		i, step := i, step
 		spawn(fmt.Sprintf("p%d", i), false, func(a *Actor) {
 			for j := 0; j < 10; j++ {
 				if j%3 == 2 {
