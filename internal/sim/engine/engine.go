@@ -103,7 +103,7 @@ func (a *Actor) Advance(c uint64) {
 
 // repark is Advance's slow path: queue the actor's continuation and yield
 // to Run, which resumes the actor when that event is dispatched. Split
-// from Advance so the fast path stays inlinable.
+// from Advance to keep the fast path small.
 func (a *Actor) repark() {
 	e := a.eng
 	if e.tr != nil {
